@@ -235,6 +235,7 @@ func (s *Suite) runSim(ctx context.Context, rv simreq.Resolved, mutate func(*sim
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", label, err)
 	}
+	s.simulations.Add(1)
 	s.progress(fmt.Sprintf("ran %-28s %12d cycles", label, r.Cycles))
 	return r, nil
 }

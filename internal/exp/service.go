@@ -76,6 +76,11 @@ func (s *Suite) SimTelemetry(ctx context.Context, q simreq.Request, sink telemet
 	})
 }
 
+// Simulations reports how many timing simulations the suite has
+// executed. Requests served from the result cache or collapsed onto
+// another caller's flight do not count, nor do SimTelemetry replays.
+func (s *Suite) Simulations() int64 { return s.simulations.Load() }
+
 // PinnedTraceRefs reports the total number of outstanding trace pins —
 // zero when no simulation is running or cached traces are all idle.
 // Tests use it to prove cancelled requests do not leak references.

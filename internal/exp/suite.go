@@ -10,6 +10,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"droplet/internal/cache"
 	"droplet/internal/core"
@@ -68,6 +69,9 @@ type Suite struct {
 	// own; under parallelism lines arrive in completion order.
 	Progress   func(string)
 	progressMu sync.Mutex
+	// simulations counts executed timing simulations: one per flight
+	// that ran, however many callers waited on it.
+	simulations atomic.Int64
 
 	// TelemetryDir, when non-empty, streams epoch telemetry for every
 	// timing simulation to <dir>/<canonical request hash>.jsonl — the

@@ -39,3 +39,38 @@ func BenchmarkDegreeStats(b *testing.B) {
 		ComputeDegreeStats(g)
 	}
 }
+
+// BenchmarkFromEdges times CSR construction alone on the scale-17,
+// degree-16 edge lists the full-scale kron and urand datasets build from,
+// symmetrized and deduplicated as the generators do.
+func BenchmarkFromEdges(b *testing.B) {
+	const scale, degree = 17, 16
+	gens := []struct {
+		name  string
+		edges func(GenOptions) ([]Edge, error)
+	}{
+		{"kron", func(o GenOptions) ([]Edge, error) { return rmatEdges(scale, degree, 0.57, 0.19, 0.19, o) }},
+		{"urand", func(o GenOptions) ([]Edge, error) { return uniformEdges(scale, degree, o) }},
+	}
+	for _, gen := range gens {
+		for _, weighted := range []bool{false, true} {
+			opt := GenOptions{Seed: 1, Symmetrize: true, Weighted: weighted}
+			name := gen.name + "/unweighted"
+			if weighted {
+				name = gen.name + "/weighted"
+			}
+			b.Run(name, func(b *testing.B) {
+				edges, err := gen.edges(opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := FromEdges(edges, opt.build(1<<scale)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -10,9 +10,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is a directed edge from U to V with an optional weight.
@@ -108,7 +109,9 @@ type BuildOptions struct {
 	NumVertices int
 	// Symmetrize adds the reverse of every edge (undirected graphs).
 	Symmetrize bool
-	// Dedupe removes duplicate (u,v) pairs, keeping the first weight.
+	// Dedupe removes duplicate (u,v) pairs. In weighted builds the weight
+	// kept is that of the duplicate the (u,v) sort places first (see
+	// FromEdges), which is deterministic but not input order.
 	Dedupe bool
 	// DropSelfLoops removes u==v edges.
 	DropSelfLoops bool
@@ -118,6 +121,13 @@ type BuildOptions struct {
 
 // FromEdges builds a CSR from an edge list. Neighbor lists are sorted by
 // destination ID, matching the layout GAP produces.
+//
+// Unweighted builds count degrees and scatter neighbor IDs straight into
+// place, then sort (and, with Dedupe, compact) each vertex's list. Weighted
+// builds sort the whole edge list by (u,v) with pdqsort; among duplicate
+// (u,v) edges, Dedupe keeps the one that sort leaves first. That rule is
+// deterministic for a given input but is not input order; SSSP results
+// depend on the weights it keeps, so weighted builds keep the sort.
 func FromEdges(edges []Edge, opt BuildOptions) (*CSR, error) {
 	n := opt.NumVertices
 	for _, e := range edges {
@@ -136,7 +146,73 @@ func FromEdges(edges []Edge, opt BuildOptions) (*CSR, error) {
 		}
 		n = opt.NumVertices
 	}
+	if opt.Weighted {
+		return fromEdgesWeighted(edges, n, opt), nil
+	}
+	return fromEdgesUnweighted(edges, n, opt), nil
+}
 
+// fromEdgesUnweighted is the counting build: no intermediate edge copy and
+// no global sort, since vertex IDs are dense.
+func fromEdgesUnweighted(edges []Edge, n int, opt BuildOptions) *CSR {
+	// offsets[u] counts u's out-degree; the inclusive prefix sum turns it
+	// into the end of u's range, and the scatter decrements it back to the
+	// start. offsets[n] stays the total.
+	offsets := make([]int64, n+1)
+	for _, e := range edges {
+		if opt.DropSelfLoops && e.U == e.V {
+			continue
+		}
+		offsets[e.U]++
+		if opt.Symmetrize && e.U != e.V {
+			offsets[e.V]++
+		}
+	}
+	for v := 1; v <= n; v++ {
+		offsets[v] += offsets[v-1]
+	}
+	neigh := make([]uint32, offsets[n])
+	for _, e := range edges {
+		if opt.DropSelfLoops && e.U == e.V {
+			continue
+		}
+		offsets[e.U]--
+		neigh[offsets[e.U]] = e.V
+		if opt.Symmetrize && e.U != e.V {
+			offsets[e.V]--
+			neigh[offsets[e.V]] = e.U
+		}
+	}
+
+	// Sort each list; with Dedupe, compact it down to w and rewrite the
+	// vertex's offset as the list moves.
+	w := int64(0)
+	for v := 0; v < n; v++ {
+		list := neigh[offsets[v]:offsets[v+1]]
+		slices.Sort(list)
+		if !opt.Dedupe {
+			continue
+		}
+		offsets[v] = w
+		for i, x := range list {
+			if i > 0 && x == list[i-1] {
+				continue
+			}
+			neigh[w] = x
+			w++
+		}
+	}
+	if opt.Dedupe {
+		offsets[n] = w
+		if w < int64(len(neigh)) {
+			neigh = slices.Clone(neigh[:w])
+		}
+	}
+	return &CSR{offsets: offsets, neigh: neigh}
+}
+
+// fromEdgesWeighted sorts a copy of the edge list by (u,v) and lays it out.
+func fromEdgesWeighted(edges []Edge, n int, opt BuildOptions) *CSR {
 	work := make([]Edge, 0, len(edges)*2)
 	for _, e := range edges {
 		if opt.DropSelfLoops && e.U == e.V {
@@ -148,41 +224,30 @@ func FromEdges(edges []Edge, opt BuildOptions) (*CSR, error) {
 		}
 	}
 
-	sort.Slice(work, func(i, j int) bool {
-		if work[i].U != work[j].U {
-			return work[i].U < work[j].U
+	slices.SortFunc(work, func(a, b Edge) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
 		}
-		return work[i].V < work[j].V
+		return cmp.Compare(a.V, b.V)
 	})
 	if opt.Dedupe {
-		out := work[:0]
-		for i, e := range work {
-			if i > 0 && e.U == work[i-1].U && e.V == work[i-1].V {
-				continue
-			}
-			out = append(out, e)
-		}
-		work = out
+		work = slices.CompactFunc(work, func(a, b Edge) bool { return a.U == b.U && a.V == b.V })
 	}
 
 	g := &CSR{
 		offsets: make([]int64, n+1),
 		neigh:   make([]uint32, len(work)),
-	}
-	if opt.Weighted {
-		g.weights = make([]int32, len(work))
+		weights: make([]int32, len(work)),
 	}
 	for i, e := range work {
 		g.offsets[e.U+1]++
 		g.neigh[i] = e.V
-		if opt.Weighted {
-			g.weights[i] = e.W
-		}
+		g.weights[i] = e.W
 	}
 	for v := 0; v < n; v++ {
 		g.offsets[v+1] += g.offsets[v]
 	}
-	return g, nil
+	return g
 }
 
 // Transpose returns the reverse graph (every edge u→v becomes v→u).

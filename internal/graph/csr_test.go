@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -214,5 +217,136 @@ func TestNeighborsSorted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fromEdgesOracle is the original sort.Slice build of FromEdges, kept
+// verbatim as the reference the counting build must match byte for byte.
+func fromEdgesOracle(edges []Edge, opt BuildOptions) (*CSR, error) {
+	n := opt.NumVertices
+	for _, e := range edges {
+		if int(e.U) >= n {
+			n = int(e.U) + 1
+		}
+		if int(e.V) >= n {
+			n = int(e.V) + 1
+		}
+	}
+	if opt.NumVertices > 0 {
+		for _, e := range edges {
+			if int(e.U) >= opt.NumVertices || int(e.V) >= opt.NumVertices {
+				return nil, fmt.Errorf("graph: edge (%d,%d) out of range for %d vertices", e.U, e.V, opt.NumVertices)
+			}
+		}
+		n = opt.NumVertices
+	}
+
+	work := make([]Edge, 0, len(edges)*2)
+	for _, e := range edges {
+		if opt.DropSelfLoops && e.U == e.V {
+			continue
+		}
+		work = append(work, e)
+		if opt.Symmetrize && e.U != e.V {
+			work = append(work, Edge{U: e.V, V: e.U, W: e.W})
+		}
+	}
+
+	sort.Slice(work, func(i, j int) bool {
+		if work[i].U != work[j].U {
+			return work[i].U < work[j].U
+		}
+		return work[i].V < work[j].V
+	})
+	if opt.Dedupe {
+		out := work[:0]
+		for i, e := range work {
+			if i > 0 && e.U == work[i-1].U && e.V == work[i-1].V {
+				continue
+			}
+			out = append(out, e)
+		}
+		work = out
+	}
+
+	g := &CSR{
+		offsets: make([]int64, n+1),
+		neigh:   make([]uint32, len(work)),
+	}
+	if opt.Weighted {
+		g.weights = make([]int32, len(work))
+	}
+	for i, e := range work {
+		g.offsets[e.U+1]++
+		g.neigh[i] = e.V
+		if opt.Weighted {
+			g.weights[i] = e.W
+		}
+	}
+	for v := 0; v < n; v++ {
+		g.offsets[v+1] += g.offsets[v]
+	}
+	return g, nil
+}
+
+// sameCSR reports the first difference between got and want, comparing
+// offsets, neighbor IDs and weights element for element.
+func sameCSR(got, want *CSR) error {
+	switch {
+	case !slices.Equal(got.offsets, want.offsets):
+		return fmt.Errorf("offsets differ: %d vs %d vertices", got.NumVertices(), want.NumVertices())
+	case !slices.Equal(got.neigh, want.neigh):
+		return fmt.Errorf("neighbor IDs differ: %d vs %d edges", got.NumEdges(), want.NumEdges())
+	case (got.weights == nil) != (want.weights == nil):
+		return fmt.Errorf("weighted = %v, want %v", got.Weighted(), want.Weighted())
+	case !slices.Equal(got.weights, want.weights):
+		return errors.New("weights differ")
+	}
+	return nil
+}
+
+// TestFromEdgesMatchesOracle pins FromEdges to the original sort-based
+// build on every generator's edge list, weighted and unweighted, under
+// every combination of build options.
+func TestFromEdgesMatchesOracle(t *testing.T) {
+	type input struct {
+		name  string
+		n     int
+		edges func(opt GenOptions) ([]Edge, error)
+	}
+	inputs := []input{
+		{"kron", 1 << 10, func(o GenOptions) ([]Edge, error) { return rmatEdges(10, 8, 0.57, 0.19, 0.19, o) }},
+		{"urand", 1 << 10, func(o GenOptions) ([]Edge, error) { return uniformEdges(10, 8, o) }},
+		{"grid", 24 * 40, func(o GenOptions) ([]Edge, error) { return gridEdges(24, 40, o) }},
+		{"social", 1 << 9, func(o GenOptions) ([]Edge, error) { return socialEdges(9, 12, o) }},
+		{"empty", 0, func(GenOptions) ([]Edge, error) { return nil, nil }},
+		{"single", 1, func(o GenOptions) ([]Edge, error) { return []Edge{{U: 0, V: 0, W: 3}}, nil }},
+	}
+	for _, in := range inputs {
+		for _, weighted := range []bool{false, true} {
+			edges, err := in.edges(GenOptions{Seed: 7, Weighted: weighted, MaxWeight: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for mask := 0; mask < 16; mask++ {
+				opt := BuildOptions{
+					Symmetrize:    mask&1 != 0,
+					Dedupe:        mask&2 != 0,
+					DropSelfLoops: mask&4 != 0,
+					Weighted:      weighted,
+				}
+				if mask&8 != 0 {
+					opt.NumVertices = in.n
+				}
+				want, err := fromEdgesOracle(edges, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := mustBuild(t, edges, opt)
+				if err := sameCSR(got, want); err != nil {
+					t.Errorf("%s weighted=%v %+v: %v", in.name, weighted, opt, err)
+				}
+			}
+		}
 	}
 }

@@ -27,11 +27,32 @@ func (o GenOptions) assignWeights(edges []Edge, r *RNG) {
 	}
 }
 
+// build is the FromEdges configuration every generator uses on its n
+// vertices: deduplicated, without self loops.
+func (o GenOptions) build(n int) BuildOptions {
+	return BuildOptions{
+		NumVertices:   n,
+		Symmetrize:    o.Symmetrize,
+		Dedupe:        true,
+		DropSelfLoops: true,
+		Weighted:      o.Weighted,
+	}
+}
+
 // RMAT generates a 2^scale-vertex RMAT graph with degree*2^scale edges
 // using the given partition probabilities. GAP's Kronecker generator uses
 // a=0.57, b=c=0.19 (see Kron). Social-network proxies use a skewed but
 // less extreme partition.
 func RMAT(scale, degree int, a, b, c float64, opt GenOptions) (*CSR, error) {
+	edges, err := rmatEdges(scale, degree, a, b, c, opt)
+	if err != nil {
+		return nil, err
+	}
+	return FromEdges(edges, opt.build(1<<scale))
+}
+
+// rmatEdges draws RMAT's edge list, weighted per opt.
+func rmatEdges(scale, degree int, a, b, c float64, opt GenOptions) ([]Edge, error) {
 	if scale < 1 || scale > 30 {
 		return nil, fmt.Errorf("graph: RMAT scale %d out of range [1,30]", scale)
 	}
@@ -64,13 +85,7 @@ func RMAT(scale, degree int, a, b, c float64, opt GenOptions) (*CSR, error) {
 		edges = append(edges, Edge{U: u, V: v})
 	}
 	opt.assignWeights(edges, r)
-	return FromEdges(edges, BuildOptions{
-		NumVertices:   n,
-		Symmetrize:    opt.Symmetrize,
-		Dedupe:        true,
-		DropSelfLoops: true,
-		Weighted:      opt.Weighted,
-	})
+	return edges, nil
 }
 
 // Kron generates a GAP-style Kronecker graph (RMAT with a=0.57, b=c=0.19),
@@ -83,6 +98,15 @@ func Kron(scale, degree int, opt GenOptions) (*CSR, error) {
 // degree*2^scale edges (the "urand" dataset of Table III): both endpoints
 // of every edge are drawn uniformly.
 func Uniform(scale, degree int, opt GenOptions) (*CSR, error) {
+	edges, err := uniformEdges(scale, degree, opt)
+	if err != nil {
+		return nil, err
+	}
+	return FromEdges(edges, opt.build(1<<scale))
+}
+
+// uniformEdges draws Uniform's edge list, weighted per opt.
+func uniformEdges(scale, degree int, opt GenOptions) ([]Edge, error) {
 	if scale < 1 || scale > 30 {
 		return nil, fmt.Errorf("graph: Uniform scale %d out of range [1,30]", scale)
 	}
@@ -97,13 +121,7 @@ func Uniform(scale, degree int, opt GenOptions) (*CSR, error) {
 		edges = append(edges, Edge{U: uint32(r.Intn(n)), V: uint32(r.Intn(n))})
 	}
 	opt.assignWeights(edges, r)
-	return FromEdges(edges, BuildOptions{
-		NumVertices:   n,
-		Symmetrize:    opt.Symmetrize,
-		Dedupe:        true,
-		DropSelfLoops: true,
-		Weighted:      opt.Weighted,
-	})
+	return edges, nil
 }
 
 // Grid generates a rows×cols 2D mesh: each cell connects to its 4-neighbors.
@@ -111,6 +129,16 @@ func Uniform(scale, degree int, opt GenOptions) (*CSR, error) {
 // diameter is large but not degenerate, approximating a road network (the
 // "road" dataset of Table III: low degree, huge diameter, high locality).
 func Grid(rows, cols int, opt GenOptions) (*CSR, error) {
+	edges, err := gridEdges(rows, cols, opt)
+	if err != nil {
+		return nil, err
+	}
+	opt.Symmetrize = true // roads are undirected
+	return FromEdges(edges, opt.build(rows*cols))
+}
+
+// gridEdges lists Grid's mesh and shortcut edges, weighted per opt.
+func gridEdges(rows, cols int, opt GenOptions) ([]Edge, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("graph: Grid %dx%d invalid", rows, cols)
 	}
@@ -136,13 +164,7 @@ func Grid(rows, cols int, opt GenOptions) (*CSR, error) {
 		edges = append(edges, Edge{U: uint32(r.Intn(n)), V: uint32(r.Intn(n))})
 	}
 	opt.assignWeights(edges, r)
-	return FromEdges(edges, BuildOptions{
-		NumVertices:   n,
-		Symmetrize:    true, // roads are undirected
-		Dedupe:        true,
-		DropSelfLoops: true,
-		Weighted:      opt.Weighted,
-	})
+	return edges, nil
 }
 
 // SocialNetwork generates an orkut/livejournal-style proxy: an RMAT graph
@@ -151,6 +173,15 @@ func Grid(rows, cols int, opt GenOptions) (*CSR, error) {
 // ID locality; the relabeling destroys the RMAT generator's ID locality to
 // match.
 func SocialNetwork(scale, degree int, opt GenOptions) (*CSR, error) {
+	edges, err := socialEdges(scale, degree, opt)
+	if err != nil {
+		return nil, err
+	}
+	return FromEdges(edges, opt.build(1<<scale))
+}
+
+// socialEdges lists SocialNetwork's relabeled edges, weighted per opt.
+func socialEdges(scale, degree int, opt GenOptions) ([]Edge, error) {
 	g, err := RMAT(scale, degree, 0.45, 0.22, 0.22, GenOptions{
 		Seed:     opt.Seed ^ 0x50c1a1,
 		Weighted: false, // relabel first, then weights
@@ -167,11 +198,5 @@ func SocialNetwork(scale, degree int, opt GenOptions) (*CSR, error) {
 		}
 	}
 	opt.assignWeights(edges, r)
-	return FromEdges(edges, BuildOptions{
-		NumVertices:   g.NumVertices(),
-		Symmetrize:    opt.Symmetrize,
-		Dedupe:        true,
-		DropSelfLoops: true,
-		Weighted:      opt.Weighted,
-	})
+	return edges, nil
 }

@@ -14,6 +14,15 @@ import (
 // input are kept only when opt.Weighted is set; absent weights default
 // to 1.
 func ReadEdgeList(r io.Reader, opt BuildOptions) (*CSR, error) {
+	edges, err := readEdges(r)
+	if err != nil {
+		return nil, err
+	}
+	return FromEdges(edges, opt)
+}
+
+// readEdges parses ReadEdgeList's input format into an edge list.
+func readEdges(r io.Reader) ([]Edge, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	var edges []Edge
@@ -48,7 +57,7 @@ func ReadEdgeList(r io.Reader, opt BuildOptions) (*CSR, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: read: %w", err)
 	}
-	return FromEdges(edges, opt)
+	return edges, nil
 }
 
 // WriteEdgeList writes g in the format ReadEdgeList parses ("u v" per

@@ -101,3 +101,60 @@ func TestEdgeListRoundTripUnweighted(t *testing.T) {
 		t.Fatalf("round trip: %v", back)
 	}
 }
+
+// FuzzReadEdgeList parses arbitrary text under every build-option
+// combination (the low five bits of flags) and, whenever the parse
+// succeeds, checks that the graph is valid, equals the original
+// sort-based build of the same edges, and survives a
+// WriteEdgeList/ReadEdgeList round trip.
+func FuzzReadEdgeList(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string, flags uint8) {
+		// Inferred vertex counts follow the largest ID in the input;
+		// bound them so the fuzzer does not allocate gigabyte offsets.
+		const maxInferred = 1 << 12
+		opt := BuildOptions{
+			Symmetrize:    flags&1 != 0,
+			Dedupe:        flags&2 != 0,
+			DropSelfLoops: flags&4 != 0,
+			Weighted:      flags&8 != 0,
+		}
+		if flags&16 != 0 {
+			opt.NumVertices = 64
+		}
+		edges, err := readEdges(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for _, e := range edges {
+			if opt.NumVertices == 0 && max(e.U, e.V) >= maxInferred {
+				return
+			}
+		}
+		g, err := ReadEdgeList(strings.NewReader(in), opt)
+		want, wantErr := fromEdgesOracle(edges, opt)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("ReadEdgeList error %v, oracle error %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("Validate: %v", err)
+		}
+		if err := sameCSR(g, want); err != nil {
+			t.Fatalf("against the oracle: %v", err)
+		}
+
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			t.Fatalf("WriteEdgeList: %v", err)
+		}
+		back, err := ReadEdgeList(&buf, BuildOptions{NumVertices: g.NumVertices(), Weighted: g.Weighted()})
+		if err != nil {
+			t.Fatalf("re-reading written graph: %v", err)
+		}
+		if err := sameCSR(back, g); err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+	})
+}

@@ -37,11 +37,11 @@ import (
 // the cache is a small FIFO; evicted hashes just re-simulate.
 const maxStreamCache = 32
 
-// Metrics is the monotonic counter set /metrics reports.
+// Metrics is the server's monotonic counter set. /metrics reports it
+// together with the suite's count of executed simulations.
 type Metrics struct {
 	Requests     atomic.Int64
 	CacheHits    atomic.Int64
-	Simulations  atomic.Int64
 	SimErrors    atomic.Int64
 	BadRequests  atomic.Int64
 	Streams      atomic.Int64
@@ -106,7 +106,7 @@ func (s *Server) MetricsSnapshot() map[string]int64 {
 	return map[string]int64{
 		"requests_total":      s.metrics.Requests.Load(),
 		"cache_hits_total":    s.metrics.CacheHits.Load(),
-		"simulations_total":   s.metrics.Simulations.Load(),
+		"simulations_total":   s.suite.Simulations(),
 		"sim_errors_total":    s.metrics.SimErrors.Load(),
 		"bad_requests_total":  s.metrics.BadRequests.Load(),
 		"streams_total":       s.metrics.Streams.Load(),
@@ -196,8 +196,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
-	s.metrics.Simulations.Add(1)
-
 	body, err := s.storeResult(hash, q, res)
 	if err != nil {
 		s.metrics.SimErrors.Add(1)

@@ -109,6 +109,10 @@ func TestSimulateCacheByteIdentity(t *testing.T) {
 	if runs != 1 {
 		t.Errorf("concurrent duplicates ran %d simulations, want 1", runs)
 	}
+	// /metrics counts executed simulations, not the waiters of a flight.
+	if got := srv.MetricsSnapshot()["simulations_total"]; got != 1 {
+		t.Errorf("simulations_total = %d after %d concurrent duplicates, want 1", got, dup)
+	}
 
 	again := post()
 	if again.Header().Get("X-Cache") != "hit" {
