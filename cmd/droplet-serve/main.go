@@ -36,6 +36,16 @@ import (
 	"droplet/internal/workload"
 )
 
+// A client gets readHeaderTimeout to send its request headers, and an
+// idle keep-alive connection is closed after idleTimeout, so stalled or
+// abandoned connections cannot pin server resources. There is no read or
+// write timeout: a cache miss may simulate for minutes, and a read
+// deadline would cancel the request context mid-simulation.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
@@ -65,7 +75,11 @@ func main() {
 		suite.Progress = func(line string) { fmt.Fprintln(os.Stderr, "droplet-serve:", line) }
 	}
 
-	srv := &http.Server{Handler: serve.New(suite)}
+	srv := &http.Server{
+		Handler:           serve.New(suite),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "droplet-serve:", err)

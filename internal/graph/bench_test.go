@@ -40,6 +40,29 @@ func BenchmarkDegreeStats(b *testing.B) {
 	}
 }
 
+// BenchmarkRMATEdges times RMAT edge drawing alone at scale 17, degree
+// 16, on the Kron partition and on SocialNetwork's.
+func BenchmarkRMATEdges(b *testing.B) {
+	const scale, degree = 17, 16
+	partitions := []struct {
+		name    string
+		a, b, c float64
+	}{
+		{"kron", 0.57, 0.19, 0.19},
+		{"social", 0.45, 0.22, 0.22},
+	}
+	for _, p := range partitions {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := rmatEdges(scale, degree, p.a, p.b, p.c, GenOptions{Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFromEdges times CSR construction alone on the scale-17,
 // degree-16 edge lists the full-scale kron and urand datasets build from,
 // symmetrized and deduplicated as the generators do.

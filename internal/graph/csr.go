@@ -122,8 +122,9 @@ type BuildOptions struct {
 // FromEdges builds a CSR from an edge list. Neighbor lists are sorted by
 // destination ID, matching the layout GAP produces.
 //
-// Unweighted builds count degrees and scatter neighbor IDs straight into
-// place, then sort (and, with Dedupe, compact) each vertex's list. Weighted
+// Unweighted builds group edges by destination, then scatter them by
+// source in destination order, so each vertex's list lands sorted without
+// a sort (and, with Dedupe, is then compacted). Weighted
 // builds sort the whole edge list by (u,v) with pdqsort; among duplicate
 // (u,v) edges, Dedupe keeps the one that sort leaves first. That rule is
 // deterministic for a given input but is not input order; SSSP results
@@ -152,47 +153,61 @@ func FromEdges(edges []Edge, opt BuildOptions) (*CSR, error) {
 	return fromEdgesUnweighted(edges, n, opt), nil
 }
 
-// fromEdgesUnweighted is the counting build: no intermediate edge copy and
-// no global sort, since vertex IDs are dense.
+// fromEdgesUnweighted is the two-pass counting build: no intermediate
+// edge copy and no sort, since vertex IDs are dense. Pass 1 groups the
+// source of every stored edge by destination; pass 2 walks destinations
+// in decreasing order and writes each into its source's list back to
+// front, so every list comes out sorted.
 func fromEdgesUnweighted(edges []Edge, n int, opt BuildOptions) *CSR {
-	// offsets[u] counts u's out-degree; the inclusive prefix sum turns it
-	// into the end of u's range, and the scatter decrements it back to the
-	// start. offsets[n] stays the total.
+	// offsets[u] counts u's out-degree and in[v] v's in-degree; the
+	// inclusive prefix sums turn them into range ends, and each scatter
+	// decrements them back to range starts. offsets[n] and in[n] stay
+	// the total.
 	offsets := make([]int64, n+1)
+	in := make([]int64, n+1)
 	for _, e := range edges {
 		if opt.DropSelfLoops && e.U == e.V {
 			continue
 		}
 		offsets[e.U]++
+		in[e.V]++
 		if opt.Symmetrize && e.U != e.V {
 			offsets[e.V]++
+			in[e.U]++
 		}
 	}
 	for v := 1; v <= n; v++ {
 		offsets[v] += offsets[v-1]
+		in[v] += in[v-1]
 	}
-	neigh := make([]uint32, offsets[n])
+	src := make([]uint32, in[n])
 	for _, e := range edges {
 		if opt.DropSelfLoops && e.U == e.V {
 			continue
 		}
-		offsets[e.U]--
-		neigh[offsets[e.U]] = e.V
+		in[e.V]--
+		src[in[e.V]] = e.U
 		if opt.Symmetrize && e.U != e.V {
-			offsets[e.V]--
-			neigh[offsets[e.V]] = e.U
+			in[e.U]--
+			src[in[e.U]] = e.V
 		}
 	}
+	neigh := make([]uint32, offsets[n])
+	for v := n - 1; v >= 0; v-- {
+		for _, u := range src[in[v]:in[v+1]] {
+			offsets[u]--
+			neigh[offsets[u]] = uint32(v)
+		}
+	}
+	if !opt.Dedupe {
+		return &CSR{offsets: offsets, neigh: neigh}
+	}
 
-	// Sort each list; with Dedupe, compact it down to w and rewrite the
-	// vertex's offset as the list moves.
+	// Compact each sorted list down to w, rewriting the vertex's offset
+	// as the list moves.
 	w := int64(0)
 	for v := 0; v < n; v++ {
 		list := neigh[offsets[v]:offsets[v+1]]
-		slices.Sort(list)
-		if !opt.Dedupe {
-			continue
-		}
 		offsets[v] = w
 		for i, x := range list {
 			if i > 0 && x == list[i-1] {
@@ -202,11 +217,9 @@ func fromEdgesUnweighted(edges []Edge, n int, opt BuildOptions) *CSR {
 			w++
 		}
 	}
-	if opt.Dedupe {
-		offsets[n] = w
-		if w < int64(len(neigh)) {
-			neigh = slices.Clone(neigh[:w])
-		}
+	offsets[n] = w
+	if w < int64(len(neigh)) {
+		neigh = slices.Clone(neigh[:w])
 	}
 	return &CSR{offsets: offsets, neigh: neigh}
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // GenOptions configures the synthetic graph generators.
 type GenOptions struct {
@@ -40,9 +43,9 @@ func (o GenOptions) build(n int) BuildOptions {
 }
 
 // RMAT generates a 2^scale-vertex RMAT graph with degree*2^scale edges
-// using the given partition probabilities. GAP's Kronecker generator uses
-// a=0.57, b=c=0.19 (see Kron). Social-network proxies use a skewed but
-// less extreme partition.
+// using the given partition probabilities, which must be non-negative
+// with a+b+c < 1. GAP's Kronecker generator uses a=0.57, b=c=0.19 (see
+// Kron). Social-network proxies use a skewed but less extreme partition.
 func RMAT(scale, degree int, a, b, c float64, opt GenOptions) (*CSR, error) {
 	edges, err := rmatEdges(scale, degree, a, b, c, opt)
 	if err != nil {
@@ -52,6 +55,13 @@ func RMAT(scale, degree int, a, b, c float64, opt GenOptions) (*CSR, error) {
 }
 
 // rmatEdges draws RMAT's edge list, weighted per opt.
+//
+// Each level of the recursion draws p = Float64() and picks a quadrant by
+// comparing p with a, a+b and a+b+c. Float64 is k/2^53 for the integer
+// k = Uint64()>>11, exactly, so p < t ⇔ k < ceil(t·2^53): the loop
+// compares k with integer thresholds instead, and sets the bits without
+// branching. The draws, and so the edges, are exactly those of the float
+// compares (see DESIGN.md "RMAT sampling").
 func rmatEdges(scale, degree int, a, b, c float64, opt GenOptions) ([]Edge, error) {
 	if scale < 1 || scale > 30 {
 		return nil, fmt.Errorf("graph: RMAT scale %d out of range [1,30]", scale)
@@ -59,33 +69,38 @@ func rmatEdges(scale, degree int, a, b, c float64, opt GenOptions) ([]Edge, erro
 	if degree < 1 {
 		return nil, fmt.Errorf("graph: RMAT degree %d < 1", degree)
 	}
+	if !(a >= 0 && b >= 0 && c >= 0) {
+		return nil, fmt.Errorf("graph: RMAT partition a=%g b=%g c=%g must be non-negative", a, b, c)
+	}
 	if a+b+c >= 1.0 {
 		return nil, fmt.Errorf("graph: RMAT partition a+b+c=%.3f must be < 1", a+b+c)
 	}
+	tA, tAB, tABC := rmatThreshold(a), rmatThreshold(a+b), rmatThreshold(a+b+c)
 	n := 1 << scale
-	m := n * degree
 	r := NewRNG(opt.Seed ^ 0x7a3d_91c4_55aa_0f0f)
-	edges := make([]Edge, 0, m)
-	for i := 0; i < m; i++ {
-		var u, v uint32
-		for bit := scale - 1; bit >= 0; bit-- {
-			p := r.Float64()
-			switch {
-			case p < a:
-				// upper-left: no bits set
-			case p < a+b:
-				v |= 1 << bit
-			case p < a+b+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
+	edges := make([]Edge, n*degree)
+	for i := range edges {
+		var u, v uint64
+		for range scale {
+			k := r.Uint64() >> 11
+			// geT is 1 when k >= T (p >= t), else 0; T-1-k wraps
+			// past 2^63 exactly when k >= T, T = 0 included.
+			geA := (tA - 1 - k) >> 63
+			geAB := (tAB - 1 - k) >> 63
+			geABC := (tABC - 1 - k) >> 63
+			u = u<<1 | geAB
+			v = v<<1 | (geA ^ geAB) | geABC
 		}
-		edges = append(edges, Edge{U: u, V: v})
+		edges[i] = Edge{U: uint32(u), V: uint32(v)}
 	}
 	opt.assignWeights(edges, r)
 	return edges, nil
+}
+
+// rmatThreshold returns ceil(t·2^53), the least k whose Float64 value
+// k/2^53 is not below t, for 0 <= t < 1. Scaling by 2^53 is exact.
+func rmatThreshold(t float64) uint64 {
+	return uint64(math.Ceil(t * (1 << 53)))
 }
 
 // Kron generates a GAP-style Kronecker graph (RMAT with a=0.57, b=c=0.19),

@@ -1,6 +1,11 @@
 package graph
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+)
 
 func TestKronDeterministicAndValid(t *testing.T) {
 	g1, err := Kron(8, 8, GenOptions{Seed: 42})
@@ -130,6 +135,15 @@ func TestGeneratorErrors(t *testing.T) {
 	if _, err := RMAT(5, 4, 0.6, 0.3, 0.2, GenOptions{}); err == nil {
 		t.Error("RMAT bad partition should error")
 	}
+	for _, p := range [][3]float64{
+		{-0.1, 0.2, 0.2}, {0.5, -0.2, 0.2}, {0.5, 0.2, -0.2},
+		{math.NaN(), 0.2, 0.2}, {0.5, math.NaN(), 0.2}, {0.5, 0.2, math.NaN()},
+		{math.Inf(-1), 0.2, 0.2},
+	} {
+		if _, err := RMAT(5, 4, p[0], p[1], p[2], GenOptions{}); err == nil {
+			t.Errorf("RMAT partition %v should error", p)
+		}
+	}
 	if _, err := Uniform(0, 8, GenOptions{}); err == nil {
 		t.Error("Uniform scale 0 should error")
 	}
@@ -138,6 +152,106 @@ func TestGeneratorErrors(t *testing.T) {
 	}
 	if _, err := Grid(0, 5, GenOptions{}); err == nil {
 		t.Error("Grid 0 rows should error")
+	}
+}
+
+// rmatEdgesOracle is the original float-compare RMAT loop, kept verbatim
+// as the reference the integer-threshold loop must match edge for edge.
+func rmatEdgesOracle(scale, degree int, a, b, c float64, opt GenOptions) ([]Edge, error) {
+	if scale < 1 || scale > 30 {
+		return nil, fmt.Errorf("graph: RMAT scale %d out of range [1,30]", scale)
+	}
+	if degree < 1 {
+		return nil, fmt.Errorf("graph: RMAT degree %d < 1", degree)
+	}
+	if a+b+c >= 1.0 {
+		return nil, fmt.Errorf("graph: RMAT partition a+b+c=%.3f must be < 1", a+b+c)
+	}
+	n := 1 << scale
+	m := n * degree
+	r := NewRNG(opt.Seed ^ 0x7a3d_91c4_55aa_0f0f)
+	edges := make([]Edge, 0, m)
+	for i := 0; i < m; i++ {
+		var u, v uint32
+		for bit := scale - 1; bit >= 0; bit-- {
+			p := r.Float64()
+			switch {
+			case p < a:
+				// upper-left: no bits set
+			case p < a+b:
+				v |= 1 << bit
+			case p < a+b+c:
+				u |= 1 << bit
+			default:
+				u |= 1 << bit
+				v |= 1 << bit
+			}
+		}
+		edges = append(edges, Edge{U: u, V: v})
+	}
+	opt.assignWeights(edges, r)
+	return edges, nil
+}
+
+// TestRMATMatchesOracle pins rmatEdges to the float-compare loop on the
+// Kron, social, dyadic and a=0 partitions. Weighted lists draw their
+// weights after the edges, so they also check that the RNG state is
+// handed on exactly.
+func TestRMATMatchesOracle(t *testing.T) {
+	partitions := []struct {
+		name    string
+		a, b, c float64
+	}{
+		{"kron", 0.57, 0.19, 0.19},
+		{"social", 0.45, 0.22, 0.22},
+		{"quarters", 0.25, 0.25, 0.25},
+		{"dyadic", 0.5, 0.25, 0.125},
+		{"a0", 0, 0.3, 0.3},
+	}
+	for _, p := range partitions {
+		for _, scale := range []int{1, 10, 17} {
+			degree := 8
+			if scale == 17 {
+				degree = 1
+			}
+			for _, seed := range []uint64{1, 9001, 0xdeadbeef} {
+				for _, weighted := range []bool{false, true} {
+					opt := GenOptions{Seed: seed, Weighted: weighted}
+					want, err := rmatEdgesOracle(scale, degree, p.a, p.b, p.c, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := rmatEdges(scale, degree, p.a, p.b, p.c, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("%s scale=%d seed=%d weighted=%v: edge lists differ", p.name, scale, seed, weighted)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRMATThreshold checks p < t ⇔ k < rmatThreshold(t) at the boundary:
+// the threshold's own Float64 value is not below t, and the one before
+// it is.
+func TestRMATThreshold(t *testing.T) {
+	for _, p := range []float64{
+		0, 0.19, 0.57, 0.57 + 0.19, 0.57 + 0.19 + 0.19, 0.45 + 0.22, 0.125, 1.0 / 3,
+		1e-300, math.SmallestNonzeroFloat64, math.Nextafter(1, 0),
+	} {
+		k := rmatThreshold(p)
+		if k > 1<<53 {
+			t.Errorf("rmatThreshold(%g) = %d > 2^53", p, k)
+		}
+		if k < 1<<53 && float64(k)/(1<<53) < p {
+			t.Errorf("rmatThreshold(%g) = %d, but k/2^53 < t", p, k)
+		}
+		if k > 0 && float64(k-1)/(1<<53) >= p {
+			t.Errorf("rmatThreshold(%g) = %d, but (k-1)/2^53 >= t", p, k)
+		}
 	}
 }
 

@@ -1,8 +1,12 @@
 package simreq
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -194,4 +198,48 @@ func TestVariantGolden(t *testing.T) {
 			t.Errorf("always-present field %q missing", k)
 		}
 	}
+}
+
+// FuzzDecode feeds arbitrary bytes to Decode. Whatever it accepts must
+// survive a canonical round trip unchanged: decoding the canonical bytes
+// gives the same request, its Hash is the SHA-256 of those bytes every
+// time, and resolving it gives it back. The committed corpus lives in
+// testdata/fuzz/FuzzDecode.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r, err := Decode(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		canon, err := r.Canonical()
+		if err != nil {
+			t.Fatalf("decoded request %+v has no canonical form: %v", r, err)
+		}
+		back, err := Decode(bytes.NewReader(canon))
+		if err != nil {
+			t.Fatalf("canonical bytes %s do not decode: %v", canon, err)
+		}
+		if !reflect.DeepEqual(back, r) {
+			t.Fatalf("canonical round trip changed the request:\n got %+v\nwant %+v", back, r)
+		}
+		h1, err := r.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h2, err := back.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(canon)
+		if h1 != h2 || h1 != hex.EncodeToString(sum[:]) {
+			t.Fatalf("hash not stable: %s, %s, sha256(canonical) %x", h1, h2, sum)
+		}
+		rv, err := r.Resolve()
+		if err != nil {
+			t.Fatalf("decoded request %+v does not resolve: %v", r, err)
+		}
+		if !reflect.DeepEqual(rv.Request(), r) {
+			t.Fatalf("Resolve().Request() = %+v, want %+v", rv.Request(), r)
+		}
+	})
 }
