@@ -371,13 +371,11 @@ func runMaterialized(rf runFlags, a workload.Algorithm, sc workload.Scale, cfg s
 			Kernel:      a.String(),
 			EpochCycles: rf.epochCyc,
 		}, info)
-	} else if sample.Enabled() {
+	} else {
 		r, err = sim.Simulate(context.Background(), tr, cfg, sim.Options{
 			Sampling:    sample,
 			EpochCycles: rf.epochCyc,
 		})
-	} else {
-		r, err = sim.Run(tr, cfg)
 	}
 	if err != nil {
 		return nil, 0, err

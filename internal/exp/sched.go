@@ -244,39 +244,32 @@ func (s *Suite) runSim(ctx context.Context, rv simreq.Resolved, mutate func(*sim
 // TelemetryDir (named by the request's canonical hash) and sampling per
 // the resolved request when configured.
 func (s *Suite) simulate(ctx context.Context, tr *trace.Trace, rv simreq.Resolved, cfg sim.Config, key string) (*sim.Result, error) {
-	if s.TelemetryDir == "" {
-		if !rv.Sampling.Enabled() && ctx.Done() == nil {
-			return sim.Run(tr, cfg)
+	opts := sim.Options{EpochCycles: rv.EpochCycles, Sampling: rv.Sampling}
+	var f *os.File
+	if s.TelemetryDir != "" {
+		var err error
+		if f, err = os.Create(filepath.Join(s.TelemetryDir, key+".jsonl")); err != nil {
+			return nil, err
 		}
-		return sim.Simulate(ctx, tr, cfg, sim.Options{
-			Sampling:    rv.Sampling,
-			EpochCycles: rv.EpochCycles,
+		opts.Observer = telemetry.NewCollector(telemetry.NewJSONLSink(f), telemetry.RunMeta{
+			Benchmark:   rv.Benchmark.String(),
+			Kernel:      rv.Benchmark.Algo.String(),
+			Variant:     rv.Variant,
+			EpochCycles: metaEpochCycles(rv.EpochCycles),
 		})
 	}
-	path := filepath.Join(s.TelemetryDir, key+".jsonl")
-	f, err := os.Create(path)
+	r, err := sim.Simulate(ctx, tr, cfg, opts)
+	if f == nil {
+		return r, err
+	}
+	if closeErr := f.Close(); err == nil {
+		err = closeErr
+	}
 	if err != nil {
-		return nil, err
-	}
-	col := telemetry.NewCollector(telemetry.NewJSONLSink(f), telemetry.RunMeta{
-		Benchmark:   rv.Benchmark.String(),
-		Kernel:      rv.Benchmark.Algo.String(),
-		Variant:     rv.Variant,
-		EpochCycles: metaEpochCycles(rv.EpochCycles),
-	})
-	r, simErr := sim.Simulate(ctx, tr, cfg, sim.Options{
-		Observer:    col,
-		EpochCycles: rv.EpochCycles,
-		Sampling:    rv.Sampling,
-	})
-	if closeErr := f.Close(); simErr == nil {
-		simErr = closeErr
-	}
-	if simErr != nil {
 		// Drop the partial stream: failed flights are retried, and a
 		// rerun recreates the file from scratch.
-		os.Remove(path)
-		return nil, simErr
+		os.Remove(f.Name())
+		return nil, err
 	}
 	return r, nil
 }

@@ -8,18 +8,17 @@ import (
 )
 
 // TestSimulateNilObserverZeroAlloc proves the nil-observer Simulate path
-// adds zero allocations over the pre-redesign Run path: with a zero
-// Options and a non-cancellable context, Simulate must take exactly the
-// driveQuantum drive (no closure, no observer bookkeeping). This pins
-// the PR2 zero-alloc hot-path guarantee across the api_redesign —
-// attaching the telemetry seam must cost nothing when telemetry is off.
+// adds zero allocations over building the machine and running the
+// reference scheduler on it: with a zero Options, Simulate's drive must
+// allocate nothing (no closure, no observer or sampling bookkeeping) —
+// the telemetry and sampling seams cost nothing when they are off.
 func TestSimulateNilObserverZeroAlloc(t *testing.T) {
 	tr := quickTrace(t)
 	cfg := quickMachine()
 	cfg.Prefetcher = core.DROPLET
 
 	baseline := testing.AllocsPerRun(3, func() {
-		if _, err := run(tr, cfg, driveQuantum); err != nil {
+		if _, err := run(tr, cfg, driveReference); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -29,7 +28,7 @@ func TestSimulateNilObserverZeroAlloc(t *testing.T) {
 		}
 	})
 	if extra := full - baseline; extra != 0 {
-		t.Errorf("nil-observer Simulate allocates %v times beyond Run (baseline %v, full %v)",
+		t.Errorf("nil-observer Simulate allocates %v times beyond the reference runner (baseline %v, full %v)",
 			extra, baseline, full)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"droplet/internal/core"
 	"droplet/internal/cpu"
 	"droplet/internal/memsys"
 	"droplet/internal/names"
@@ -146,8 +145,8 @@ func (s Sampling) phase(clk, epoch int64) int {
 
 // nextDetailedClock returns the smallest epoch-aligned clock strictly
 // after clk whose epoch is not fast-forward — the next point a core in
-// FF must rejoin detailed scheduling. Used by driveSampled to run
-// WarmNone fast-forward as one long quantum instead of re-electing at
+// FF must rejoin detailed scheduling. Used by drive to run WarmNone
+// fast-forward as one long quantum instead of re-electing at
 // every epoch boundary.
 func (s Sampling) nextDetailedClock(clk, epoch int64) int64 {
 	for e := clk/epoch + 1; ; e++ {
@@ -232,7 +231,7 @@ type sampleWindow struct {
 	instr int64
 }
 
-// sampleAcc is driveSampled's bookkeeping: per-core open-measurement
+// sampleAcc is the sampled drive's bookkeeping: per-core open-measurement
 // snapshots plus per-core, per-period accumulated windows. Windows stay
 // separated by core because extrapolation is per-core (see
 // SampleReport.ExtrapolatedCycles).
@@ -262,12 +261,12 @@ type sampleAcc struct {
 	aggClk   []int64
 	aggInstr []int64
 
-	// Barrier-replay metadata: secInstr[k][i] is core i's instruction
-	// count in the k-th inter-barrier section, lastInstr the running
-	// snapshot, and doneBar[i] the first barrier index at which core i
-	// had already finished (-1 if it ran to the end) — a finished core's
-	// clock freezes and must not be jumped by later releases.
-	secInstr  [][]int64
+	// Barrier-replay metadata: secInstr[k*cores+i] is core i's
+	// instruction count in the k-th inter-barrier section, lastInstr the
+	// running snapshot, and doneBar[i] the first barrier index at which
+	// core i had already finished (-1 if it ran to the end) — a finished
+	// core's clock freezes and must not be jumped by later releases.
+	secInstr  []int64
 	lastInstr []int64
 	doneBar   []int
 }
@@ -298,16 +297,27 @@ func newSampleAcc(s Sampling, epoch int64, cores int) *sampleAcc {
 // recordBarrier snapshots the per-core instruction deltas of the
 // inter-barrier section ending at this release.
 func (a *sampleAcc) recordBarrier(cores []*cpu.Core) {
-	vec := make([]int64, len(cores))
+	k := a.sections()
 	for i, c := range cores {
 		ins := c.Stats().Instructions
-		vec[i] = ins - a.lastInstr[i]
+		a.secInstr = append(a.secInstr, ins-a.lastInstr[i])
 		a.lastInstr[i] = ins
 		if c.Done() && a.doneBar[i] < 0 {
-			a.doneBar[i] = len(a.secInstr)
+			a.doneBar[i] = k
 		}
 	}
-	a.secInstr = append(a.secInstr, vec)
+}
+
+// sections returns the number of inter-barrier sections recorded.
+func (a *sampleAcc) sections() int { return len(a.secInstr) / len(a.lastInstr) }
+
+// finish closes every measurement still open when the run ends.
+func (a *sampleAcc) finish(cores []*cpu.Core) {
+	for i, c := range cores {
+		if a.measuring[i] {
+			a.close(i, c)
+		}
+	}
 }
 
 // observe reconciles core i's measurement state with its current phase.
@@ -440,7 +450,7 @@ func (a *sampleAcc) report(coreStats []cpu.Stats, totalInstr, fullCycles int64) 
 		DetailEpochs:   a.s.DetailEpochs,
 		WarmupEpochs:   a.s.WarmupEpochs,
 		Warming:        a.s.Warming,
-		Sections:       len(a.secInstr),
+		Sections:       a.sections(),
 		StragglerCore:  -1,
 	}
 	for _, ws := range a.windows {
@@ -475,7 +485,8 @@ func (a *sampleAcc) report(coreStats []cpu.Stats, totalInstr, fullCycles int64) 
 	cores := len(a.windows)
 	clk := make([]float64, cores)
 	bar := make([]float64, cores)
-	for k, vec := range a.secInstr {
+	for k := range a.sections() {
+		vec := a.secInstr[k*cores : (k+1)*cores]
 		var t float64
 		for i := range clk {
 			clk[i] += float64(vec[i]) * cpi[i]
@@ -537,115 +548,6 @@ func (a *sampleAcc) report(coreStats []cpu.Stats, totalInstr, fullCycles int64) 
 	return rep
 }
 
-// driveSampled executes the quantum scheduler's election order while
-// switching each core between detailed stepping (warmup + measurement
-// epochs) and fast-forward (StepFast) according to its clock's sampling
-// phase. Quanta are additionally capped at every epoch boundary so phase
-// transitions happen exactly on boundaries. onEpoch may be nil.
-func driveSampled(ctx context.Context, cores []*cpu.Core, epoch int64, s Sampling, onEpoch func(int64)) (*sampleAcc, error) {
-	acc := newSampleAcc(s, epoch, len(cores))
-	warm := s.Warming == WarmFunctional
-	nextEpochCB := epoch
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bestIdx, runnerIdx := -1, -1
-		var bestClk, runnerClk int64
-		allDone := true
-		for i, c := range cores {
-			if c.Done() {
-				continue
-			}
-			allDone = false
-			if c.AtBarrier() {
-				continue
-			}
-			clk := c.Clock()
-			switch {
-			case bestIdx < 0:
-				bestIdx, bestClk = i, clk
-			case clk < bestClk:
-				runnerIdx, runnerClk = bestIdx, bestClk
-				bestIdx, bestClk = i, clk
-			case runnerIdx < 0 || clk < runnerClk:
-				runnerIdx, runnerClk = i, clk
-			}
-		}
-		if allDone {
-			for i, c := range cores {
-				if acc.measuring[i] {
-					acc.close(i, c)
-				}
-			}
-			return acc, nil
-		}
-		if bestIdx < 0 {
-			acc.recordBarrier(cores)
-			releaseBarrier(cores)
-			continue
-		}
-		if onEpoch != nil && bestClk >= nextEpochCB {
-			onEpoch(bestClk)
-			nextEpochCB = (bestClk/epoch + 1) * epoch
-		}
-		next := cores[bestIdx]
-		phase := s.phase(bestClk, epoch)
-		acc.observe(bestIdx, next, phase)
-		detailed := phase != phaseFF
-		if !detailed && !warm {
-			// Under WarmNone, fast-forward touches no shared state — the
-			// core only consumes its own stream and advances its own
-			// clock — so it can skip straight to its next detailed-phase
-			// boundary without re-electing. Dropping the intermediate
-			// elections cannot reorder the detailed cores' shared-
-			// hierarchy accesses (their mutual clock order is untouched)
-			// and window snapshots read only own-core counters, so the
-			// Result is bit-identical to the epoch-capped schedule.
-			target := s.nextDetailedClock(bestClk, epoch)
-			if onEpoch != nil && nextEpochCB < target {
-				// Keep telemetry epoch pulls on their boundaries.
-				target = nextEpochCB
-			}
-			for !next.Done() && !next.AtBarrier() && next.Clock() < target {
-				next.StepFast(false)
-			}
-			continue
-		}
-		// Cap the quantum at the next epoch boundary: the phase is a
-		// function of the clock, so it can only change there.
-		boundary := (bestClk/epoch + 1) * epoch
-		if runnerIdx < 0 {
-			for !next.Done() && !next.AtBarrier() && next.Clock() < boundary {
-				if detailed {
-					next.Step()
-				} else {
-					next.StepFast(warm)
-				}
-			}
-			continue
-		}
-		tieWins := bestIdx < runnerIdx
-		for {
-			if detailed {
-				next.Step()
-			} else {
-				next.StepFast(warm)
-			}
-			if next.Done() || next.AtBarrier() {
-				break
-			}
-			clk := next.Clock()
-			if clk > runnerClk || (clk == runnerClk && !tieWins) {
-				break
-			}
-			if clk >= boundary {
-				break
-			}
-		}
-	}
-}
-
 // SimulateStream runs the pull-based trace generator st on a machine
 // built from cfg — the streaming twin of Simulate. The stream is started
 // (idempotently) and torn down on every exit path; peak trace memory is
@@ -658,26 +560,13 @@ func SimulateStream(ctx context.Context, st *trace.Stream, cfg Config, opts Opti
 	if cfg.Cores != st.NumCores() {
 		return nil, fmt.Errorf("sim: machine has %d cores but stream has %d sources", cfg.Cores, st.NumCores())
 	}
-	if opts.Replacement != nil {
-		cfg.LLC.Policy = *opts.Replacement
-	}
-	if opts.Prefetcher != nil {
-		cfg.Prefetcher = *opts.Prefetcher
-	}
-	lay := st.Layout()
-	h, err := memsys.New(cfg.memConfig(), lay.AS)
-	if err != nil {
-		return nil, err
-	}
-	att, err := core.Attach(cfg.Prefetcher, h, lay, cfg.Prefetch)
-	if err != nil {
-		return nil, err
-	}
 	st.Start()
 	defer st.Stop()
-	cores := make([]*cpu.Core, cfg.Cores)
-	for i := range cores {
-		cores[i] = cpu.NewStreamingCore(i, cfg.CPU, h, st.Source(i), opts.DepRingEvents)
+	m, err := newMachine(cfg, st.Layout(), func(i int, h *memsys.Hierarchy) *cpu.Core {
+		return cpu.NewStreamingCore(i, cfg.CPU, h, st.Source(i), opts.DepRingEvents)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return driveAndCollect(ctx, cfg, h, att, cores, opts)
+	return m.run(ctx, opts)
 }

@@ -8,6 +8,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"droplet/internal/cache"
 	"droplet/internal/core"
@@ -116,15 +117,6 @@ type Options struct {
 	// SimulateStream (<= 0 picks cpu.DefaultDepRingEvents). Ignored by
 	// the materialized path.
 	DepRingEvents int
-	// Replacement, when non-nil, overrides the LLC replacement policy
-	// (cfg.LLC.Policy) — the paper-relevant lever, sweepable without
-	// rebuilding configs. Private-cache policies are still set directly
-	// on cfg.L1/cfg.L2.
-	Replacement *cache.Kind
-	// Prefetcher, when non-nil, overrides the prefetcher configuration
-	// (cfg.Prefetcher) — the engine-comparison lever, sweepable without
-	// rebuilding configs.
-	Prefetcher *core.PrefetcherKind
 }
 
 func (o Options) validate() error {
@@ -145,11 +137,9 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 }
 
 // Simulate runs tr on a machine built from cfg, honoring ctx
-// cancellation and the observer/progress hooks in opts. With a zero
-// Options and a non-cancellable context it takes exactly the same
-// zero-overhead drive path as Run; observers never change the executed
-// step sequence, so the returned Result is identical with telemetry on
-// or off.
+// cancellation and the observer/progress hooks in opts. Observers never
+// change the executed step sequence, so the returned Result is identical
+// with telemetry on or off.
 func Simulate(ctx context.Context, tr *trace.Trace, cfg Config, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -157,71 +147,68 @@ func Simulate(ctx context.Context, tr *trace.Trace, cfg Config, opts Options) (*
 	if cfg.Cores != tr.NumCores() {
 		return nil, fmt.Errorf("sim: machine has %d cores but trace has %d streams", cfg.Cores, tr.NumCores())
 	}
-	if opts.Replacement != nil {
-		cfg.LLC.Policy = *opts.Replacement
-	}
-	if opts.Prefetcher != nil {
-		cfg.Prefetcher = *opts.Prefetcher
-	}
-	h, err := memsys.New(cfg.memConfig(), tr.Layout.AS)
+	m, err := newMachine(cfg, tr.Layout, func(i int, h *memsys.Hierarchy) *cpu.Core {
+		return cpu.NewCore(i, cfg.CPU, h, tr.PerCore[i])
+	})
 	if err != nil {
 		return nil, err
 	}
-	att, err := core.Attach(cfg.Prefetcher, h, tr.Layout, cfg.Prefetch)
+	return m.run(ctx, opts)
+}
+
+// machine is a built, not yet driven, simulated machine.
+type machine struct {
+	cfg   Config
+	h     *memsys.Hierarchy
+	att   *core.Attachment
+	cores []*cpu.Core
+}
+
+// newMachine builds the hierarchy for cfg, attaches the configured
+// prefetcher, and creates the cores with newCore — the one part the
+// materialized and streaming paths do differently.
+func newMachine(cfg Config, lay *trace.Layout, newCore func(i int, h *memsys.Hierarchy) *cpu.Core) (*machine, error) {
+	h, err := memsys.New(cfg.memConfig(), lay.AS)
+	if err != nil {
+		return nil, err
+	}
+	att, err := core.Attach(cfg.Prefetcher, h, lay, cfg.Prefetch)
 	if err != nil {
 		return nil, err
 	}
 	cores := make([]*cpu.Core, cfg.Cores)
 	for i := range cores {
-		cores[i] = cpu.NewCore(i, cfg.CPU, h, tr.PerCore[i])
+		cores[i] = newCore(i, h)
 	}
-	return driveAndCollect(ctx, cfg, h, att, cores, opts)
+	return &machine{cfg: cfg, h: h, att: att, cores: cores}, nil
 }
 
-// driveAndCollect picks the drive loop matching opts (plain quantum,
-// observed, or sampled), runs the cores to completion, and folds the
-// machine into a Result. Options must already be validated.
-func driveAndCollect(ctx context.Context, cfg Config, h *memsys.Hierarchy, att *core.Attachment, cores []*cpu.Core, opts Options) (*Result, error) {
-	var acc *sampleAcc
-	if opts.Observer == nil && opts.Progress == nil && ctx.Done() == nil && !opts.Sampling.Enabled() {
-		driveQuantum(cores)
-	} else {
-		epoch := opts.EpochCycles
-		if epoch == 0 {
-			epoch = DefaultEpochCycles
-		}
-		var onEpoch func(int64)
-		switch {
-		case opts.Observer != nil && opts.Progress != nil:
-			obs, prog := opts.Observer, opts.Progress
+// run attaches opts' observer, drives the cores to completion, and folds
+// the machine into a Result. Options must already be validated.
+func (m *machine) run(ctx context.Context, opts Options) (*Result, error) {
+	epoch := opts.EpochCycles
+	if epoch == 0 {
+		epoch = DefaultEpochCycles
+	}
+	onEpoch := opts.Progress
+	if obs := opts.Observer; obs != nil {
+		onEpoch = obs.Epoch
+		if prog := opts.Progress; prog != nil {
 			onEpoch = func(cyc int64) { obs.Epoch(cyc); prog(cyc) }
-		case opts.Observer != nil:
-			onEpoch = opts.Observer.Epoch
-		case opts.Progress != nil:
-			onEpoch = opts.Progress
 		}
-		if opts.Observer != nil {
-			if err := opts.Observer.Attach(telemetry.Sources{Cores: cores, Hier: h, Att: att}); err != nil {
-				return nil, err
-			}
-		}
-		if opts.Sampling.Enabled() {
-			var err error
-			acc, err = driveSampled(ctx, cores, epoch, opts.Sampling.withDefaults(), onEpoch)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			if onEpoch == nil {
-				onEpoch = func(int64) {}
-			}
-			if err := driveObserved(ctx, cores, epoch, onEpoch); err != nil {
-				return nil, err
-			}
+		if err := obs.Attach(telemetry.Sources{Cores: m.cores, Hier: m.h, Att: m.att}); err != nil {
+			return nil, err
 		}
 	}
+	var acc *sampleAcc
+	if opts.Sampling.Enabled() {
+		acc = newSampleAcc(opts.Sampling.withDefaults(), epoch, len(m.cores))
+	}
+	if err := drive(ctx, m.cores, epoch, onEpoch, acc); err != nil {
+		return nil, err
+	}
 
-	res := collect(cfg, h, att, cores)
+	res := m.result()
 	if acc != nil {
 		res.Sampled = acc.report(res.CoreStats, res.Instructions, res.Cycles)
 	}
@@ -233,40 +220,15 @@ func driveAndCollect(ctx context.Context, cfg Config, h *memsys.Hierarchy, att *
 	return res, nil
 }
 
-// run builds the machine and lets drive push every core through its
-// stream. The two drivers (quantum and per-event reference) execute the
-// identical step sequence; the reference loop survives purely as the
-// determinism-test oracle for the quantum scheduler.
-func run(tr *trace.Trace, cfg Config, drive func([]*cpu.Core)) (*Result, error) {
-	if cfg.Cores != tr.NumCores() {
-		return nil, fmt.Errorf("sim: machine has %d cores but trace has %d streams", cfg.Cores, tr.NumCores())
-	}
-	h, err := memsys.New(cfg.memConfig(), tr.Layout.AS)
-	if err != nil {
-		return nil, err
-	}
-	att, err := core.Attach(cfg.Prefetcher, h, tr.Layout, cfg.Prefetch)
-	if err != nil {
-		return nil, err
-	}
-
-	cores := make([]*cpu.Core, cfg.Cores)
-	for i := range cores {
-		cores[i] = cpu.NewCore(i, cfg.CPU, h, tr.PerCore[i])
-	}
-	drive(cores)
-	return collect(cfg, h, att, cores), nil
-}
-
-// collect folds the finished machine into a Result.
-func collect(cfg Config, h *memsys.Hierarchy, att *core.Attachment, cores []*cpu.Core) *Result {
+// result folds the finished machine into a Result.
+func (m *machine) result() *Result {
 	res := &Result{
-		Config:     cfg,
-		CoreStats:  make([]cpu.Stats, cfg.Cores),
-		Hier:       h,
-		Attachment: att,
+		Config:     m.cfg,
+		CoreStats:  make([]cpu.Stats, len(m.cores)),
+		Hier:       m.h,
+		Attachment: m.att,
 	}
-	for i, c := range cores {
+	for i, c := range m.cores {
 		s := *c.Stats()
 		res.CoreStats[i] = s
 		if s.Cycles > res.Cycles {
@@ -277,56 +239,44 @@ func collect(cfg Config, h *memsys.Hierarchy, att *core.Attachment, cores []*cpu
 	return res
 }
 
-// driveReference is the original per-event loop: every iteration rescans
-// all cores and steps the runnable one with the smallest local clock (ties
-// to the lowest index); when every unfinished core is parked at a barrier,
-// they release together at the latest arrival time. O(cores) per event —
-// kept only as the oracle the determinism tests compare driveQuantum
-// against.
+// drive runs every core through its stream in the order of the per-event
+// reference scheduler (driveReference, in the tests): step the runnable
+// core with the smallest clock, ties to the lowest index, and release a
+// barrier at the latest arrival once every unfinished core is parked at
+// it. Instead of rescanning per event, it elects the minimum core once
+// and keeps stepping it for as long as the rescan would re-elect it —
+// until its clock passes the runner-up's. Stepping a core never moves
+// any other core's clock, barrier, or done state, so the runner-up
+// computed once stays valid for the whole quantum, and ending a quantum
+// early only re-elects the same core.
+//
+// That freedom carries the hooks. Quanta end at the next epoch boundary
+// when onEpoch is set (it is called once the elected core's clock
+// crosses it) and, under sampling (acc non-nil), at every epoch
+// boundary, where a core's sampling phase can change; fast-forward
+// epochs step with StepFast. ctx is polled once per election, and only
+// if it can be cancelled. With no hooks the boundaries are
+// math.MaxInt64 and the loop is the plain quantum scheduler. Every
+// quantum has one exit test: the core finished, reached a barrier, or
+// its clock reached limit, the lowest of these bounds and the
+// runner-up's.
+//
 //droplet:hotpath
-func driveReference(cores []*cpu.Core) {
-	for {
-		var next *cpu.Core
-		var nextClock int64
-		allDone := true
-		for _, c := range cores {
-			if c.Done() {
-				continue
-			}
-			allDone = false
-			if c.AtBarrier() {
-				continue
-			}
-			if clk := c.Clock(); next == nil || clk < nextClock {
-				next = c
-				nextClock = clk
-			}
-		}
-		if allDone {
-			return
-		}
-		if next == nil {
-			releaseBarrier(cores)
-			continue
-		}
-		next.Step()
+func drive(ctx context.Context, cores []*cpu.Core, epoch int64, onEpoch func(int64), acc *sampleAcc) error {
+	cancellable := ctx.Done() != nil
+	nextEpoch := int64(math.MaxInt64)
+	if onEpoch != nil {
+		nextEpoch = epoch
 	}
-}
-
-// driveQuantum executes the same step sequence as driveReference without
-// the per-event rescan: after electing the minimum-clock core it keeps
-// stepping that core for as long as the reference loop would have
-// re-elected it — i.e. until its clock passes the runner-up's (stepping a
-// core never moves any other core's clock, barrier, or done state, so the
-// runner-up computed once stays valid for the whole quantum). Each quantum
-// is a long single-core, single-stream run, which is also what the host
-// CPU's branch predictors and caches want to see.
-//droplet:hotpath
-func driveQuantum(cores []*cpu.Core) {
+	warm := acc != nil && acc.s.Warming == WarmFunctional
 	for {
-		// Elect the (clock, index)-lexicographic minimum runnable core —
-		// exactly the reference loop's selection rule — and track the same
-		// lexicographic minimum over the remaining runnable cores (the
+		if cancellable {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		// Elect the (clock, index)-lexicographic minimum runnable core and
+		// track the same minimum over the remaining runnable cores (the
 		// runner-up). Ties resolve to the lower index in both scans: a
 		// strict < keeps the first-seen minimum while scanning in index
 		// order, and when a new best displaces the old one, the old best
@@ -355,106 +305,64 @@ func driveQuantum(cores []*cpu.Core) {
 			}
 		}
 		if allDone {
-			return
-		}
-		if bestIdx < 0 {
-			releaseBarrier(cores)
-			continue
-		}
-		next := cores[bestIdx]
-		if runnerIdx < 0 {
-			// Sole runnable core: drain it to its next barrier (or the end
-			// of its stream) in one go.
-			for !next.Done() && !next.AtBarrier() {
-				next.Step()
+			if acc != nil {
+				acc.finish(cores)
 			}
-			continue
-		}
-		// The elected core keeps winning re-election while its clock stays
-		// below the runner-up's, or equals it with the lower index. A step
-		// never moves another core's clock, barrier, or done state, so the
-		// runner-up computed once stays valid for the whole quantum.
-		tieWins := bestIdx < runnerIdx
-		for {
-			next.Step()
-			if next.Done() || next.AtBarrier() {
-				break
-			}
-			if clk := next.Clock(); clk > runnerClk || (clk == runnerClk && !tieWins) {
-				break
-			}
-		}
-	}
-}
-
-// driveObserved executes the exact step sequence of driveQuantum while
-// additionally (a) honoring context cancellation once per election and
-// (b) invoking onEpoch the first time the elected core's clock crosses
-// an epoch boundary. Quanta are capped at the next boundary; breaking a
-// quantum early and re-electing always re-selects the same core (a step
-// never moves another core's clock, barrier, or done state), so the
-// observer cannot perturb the simulation. Deliberately not a
-// //droplet:hotpath root: the callback indirection is off the
-// zero-alloc invariant, and the nil-observer path never comes here.
-func driveObserved(ctx context.Context, cores []*cpu.Core, epoch int64, onEpoch func(int64)) error {
-	nextBoundary := epoch
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		bestIdx, runnerIdx := -1, -1
-		var bestClk, runnerClk int64
-		allDone := true
-		for i, c := range cores {
-			if c.Done() {
-				continue
-			}
-			allDone = false
-			if c.AtBarrier() {
-				continue
-			}
-			clk := c.Clock()
-			switch {
-			case bestIdx < 0:
-				bestIdx, bestClk = i, clk
-			case clk < bestClk:
-				runnerIdx, runnerClk = bestIdx, bestClk
-				bestIdx, bestClk = i, clk
-			case runnerIdx < 0 || clk < runnerClk:
-				runnerIdx, runnerClk = i, clk
-			}
-		}
-		if allDone {
 			return nil
 		}
 		if bestIdx < 0 {
+			if acc != nil {
+				acc.recordBarrier(cores)
+			}
 			releaseBarrier(cores)
 			continue
 		}
-		if bestClk >= nextBoundary {
+		if bestClk >= nextEpoch {
 			onEpoch(bestClk)
-			nextBoundary = (bestClk/epoch + 1) * epoch
+			nextEpoch = (bestClk/epoch + 1) * epoch
 		}
 		next := cores[bestIdx]
-		if runnerIdx < 0 {
-			// Sole runnable core: drain to its next barrier, stream end, or
-			// epoch boundary, whichever comes first.
-			for !next.Done() && !next.AtBarrier() && next.Clock() < nextBoundary {
+		limit, fast := nextEpoch, false
+		if acc != nil {
+			phase := acc.s.phase(bestClk, epoch)
+			acc.observe(bestIdx, next, phase)
+			fast = phase == phaseFF
+			if fast && !warm {
+				// Under WarmNone, fast-forward touches no shared state — the
+				// core only consumes its own stream and advances its own
+				// clock — so it can skip straight to its next detailed-phase
+				// boundary without re-electing. Dropping the intermediate
+				// elections cannot reorder the detailed cores' shared-
+				// hierarchy accesses (their mutual clock order is untouched)
+				// and window snapshots read only own-core counters, so the
+				// Result is bit-identical to the epoch-capped schedule.
+				limit = min(limit, acc.s.nextDetailedClock(bestClk, epoch))
+				runnerIdx = -1
+			} else {
+				// The phase is a function of the clock, so it can only
+				// change at an epoch boundary.
+				limit = min(limit, (bestClk/epoch+1)*epoch)
+			}
+		}
+		if runnerIdx >= 0 {
+			// The elected core keeps winning re-election while its clock
+			// stays below the runner-up's, or equals it with the lower
+			// index: it yields at the first clock >= stop. A sole runnable
+			// core runs to its next barrier, the end of its stream, or the
+			// limit.
+			stop := runnerClk
+			if bestIdx < runnerIdx {
+				stop++
+			}
+			limit = min(limit, stop)
+		}
+		for {
+			if fast {
+				next.StepFast(warm)
+			} else {
 				next.Step()
 			}
-			continue
-		}
-		tieWins := bestIdx < runnerIdx
-		for {
-			next.Step()
-			if next.Done() || next.AtBarrier() {
-				break
-			}
-			clk := next.Clock()
-			if clk > runnerClk || (clk == runnerClk && !tieWins) {
-				break
-			}
-			if clk >= nextBoundary {
+			if next.Done() || next.AtBarrier() || next.Clock() >= limit {
 				break
 			}
 		}
@@ -463,6 +371,7 @@ func driveObserved(ctx context.Context, cores []*cpu.Core, epoch int64, onEpoch 
 
 // releaseBarrier opens the barrier every unfinished core is parked at,
 // at the latest arrival time.
+//
 //droplet:hotpath
 func releaseBarrier(cores []*cpu.Core) {
 	var t int64

@@ -103,12 +103,13 @@ func TestSamplingDeterminism(t *testing.T) {
 	}
 }
 
-// TestSampledObserverInvariance pins the fast-forward skip optimization:
-// with a Progress callback installed, fast-forward quanta are capped at
-// every epoch boundary; without one they skip straight to the next
-// detailed phase. Both schedules must produce bit-identical results —
-// the skip only removes elections of cores whose fast-forward steps
-// touch no shared state.
+// TestSampledObserverInvariance pins the epoch-capped sampled schedule:
+// with a Progress callback installed, quanta also end at every epoch
+// boundary, and under WarmNone fast-forward quanta skip straight to the
+// next detailed phase only without one. Both schedules must produce
+// bit-identical results under either warming mode — the cap never
+// reorders shared-hierarchy accesses, and the skip only removes
+// elections of cores whose fast-forward steps touch no shared state.
 func TestSampledObserverInvariance(t *testing.T) {
 	b, err := workload.ParseBenchmark("BFS-road")
 	if err != nil {
@@ -119,25 +120,30 @@ func TestSampledObserverInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampling, epoch := gateSampling()
-	plain, err := Simulate(context.Background(), tr, cfg, Options{Sampling: sampling, EpochCycles: epoch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	observed, err := Simulate(context.Background(), tr, cfg, Options{
-		Sampling:    sampling,
-		EpochCycles: epoch,
-		Progress:    func(int64) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Sampled, observed.Sampled) {
-		t.Errorf("progress callback perturbed the sampled report:\nplain:    %+v\nobserved: %+v",
-			plain.Sampled, observed.Sampled)
-	}
-	if plain.Cycles != observed.Cycles {
-		t.Errorf("progress callback perturbed raw cycles: %d vs %d", plain.Cycles, observed.Cycles)
+	for _, warming := range []Warming{WarmNone, WarmFunctional} {
+		t.Run(warming.String(), func(t *testing.T) {
+			sampling, epoch := gateSampling()
+			sampling.Warming = warming
+			plain, err := Simulate(context.Background(), tr, cfg, Options{Sampling: sampling, EpochCycles: epoch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			observed, err := Simulate(context.Background(), tr, cfg, Options{
+				Sampling:    sampling,
+				EpochCycles: epoch,
+				Progress:    func(int64) {},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain.Sampled, observed.Sampled) {
+				t.Errorf("progress callback perturbed the sampled report:\nplain:    %+v\nobserved: %+v",
+					plain.Sampled, observed.Sampled)
+			}
+			if plain.Cycles != observed.Cycles {
+				t.Errorf("progress callback perturbed raw cycles: %d vs %d", plain.Cycles, observed.Cycles)
+			}
+		})
 	}
 }
 

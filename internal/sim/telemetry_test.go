@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"droplet/internal/core"
-	"droplet/internal/cpu"
 	"droplet/internal/graph"
 	"droplet/internal/telemetry"
 	"droplet/internal/trace"
@@ -161,37 +160,5 @@ func TestSimulateProgress(t *testing.T) {
 	}
 	if last := cycles[len(cycles)-1]; last > res.Cycles {
 		t.Errorf("progress cycle %d beyond final wall clock %d", last, res.Cycles)
-	}
-}
-
-// TestObservedDriverMatchesQuantum pins driveObserved (with a no-op
-// observer at the finest useful granularity) to driveQuantum: epoch
-// interruptions must never change the executed step sequence.
-func TestObservedDriverMatchesQuantum(t *testing.T) {
-	tr := quickTrace(t)
-	cfg := quickMachine()
-	cfg.Prefetcher = core.DROPLET
-
-	ref, err := run(tr, cfg, driveQuantum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := run(tr, cfg, func(cores []*cpu.Core) {
-		if derr := driveObserved(context.Background(), cores, 1000, func(int64) {}); derr != nil {
-			t.Fatal(derr)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cycles != ref.Cycles || got.Instructions != ref.Instructions {
-		t.Errorf("aggregates diverge: observed (%d, %d), quantum (%d, %d)",
-			got.Cycles, got.Instructions, ref.Cycles, ref.Instructions)
-	}
-	if !reflect.DeepEqual(got.CoreStats, ref.CoreStats) {
-		t.Errorf("per-core stats diverge between observed and quantum drivers")
-	}
-	if !reflect.DeepEqual(*got.Hier.Stats(), *ref.Hier.Stats()) {
-		t.Errorf("hierarchy stats diverge between observed and quantum drivers")
 	}
 }

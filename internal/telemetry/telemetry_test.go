@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -123,6 +124,31 @@ func TestValidateJSONLRejects(t *testing.T) {
 	if _, _, err := ValidateJSONL(strings.NewReader("{\"epoch\":0}\n")); err == nil {
 		t.Error("stream without meta line accepted")
 	}
+	// The header's core count is untrusted: nothing may be sized from it
+	// before a record confirms it.
+	huge := `{"meta":{"prefetcher":"nopf","cores":1000000000000000000,"levels":["L1","L2","L3","DRAM"]}}` + "\n"
+	if _, n, err := ValidateJSONL(strings.NewReader(huge)); err != nil || n != 0 {
+		t.Errorf("header-only stream with a huge core count: %d records, %v", n, err)
+	}
+	rec, err := json.Marshal(synthRecord(0, 0, 100, 2, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ValidateJSONL(strings.NewReader(huge + string(rec) + "\n")); err == nil {
+		t.Error("record disagreeing with the header's core count accepted")
+	}
+}
+
+// FuzzValidateJSONL feeds arbitrary bytes to the stream validator, which
+// telemetrycheck runs on files from outside the program: it must never
+// panic, and a stream it accepts must come with its meta.
+func FuzzValidateJSONL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		meta, _, err := ValidateJSONL(strings.NewReader(in))
+		if err == nil && meta == nil {
+			t.Fatal("accepted stream without meta")
+		}
+	})
 }
 
 func TestCSVSink(t *testing.T) {

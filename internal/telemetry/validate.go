@@ -84,7 +84,10 @@ func ValidateJSONL(r io.Reader) (*RunMeta, int, error) {
 		return meta, 0, fmt.Errorf("meta: %d levels, simulator has %d", len(meta.Levels), memsys.NumLevels)
 	}
 
-	prevEnd := make([]int64, meta.Cores)
+	// Per-core state is sized from the first record, which ValidateRecord
+	// has checked against meta.Cores: the header alone is untrusted and
+	// may claim any core count.
+	var prevEnd []int64
 	n := 0
 	sawFinal := false
 	for sc.Scan() {
@@ -97,6 +100,9 @@ func ValidateJSONL(r io.Reader) (*RunMeta, int, error) {
 		}
 		if err := ValidateRecord(&rec, int64(n), meta.Cores); err != nil {
 			return meta, n, err
+		}
+		if prevEnd == nil {
+			prevEnd = make([]int64, len(rec.Cores))
 		}
 		for i := range rec.Cores {
 			if rec.Cores[i].StartCycle != prevEnd[i] {
