@@ -88,7 +88,7 @@ func main() {
 
 func run(benchmarks, scale, pf string, epoch int64, interval, detail, warmup int,
 	warming string, maxErr, minSpeedup float64, jsonOut, out string) error {
-	sc, err := parseScale(scale)
+	sc, err := workload.ParseScale(scale)
 	if err != nil {
 		return err
 	}
@@ -246,17 +246,4 @@ func format(art artifact) string {
 		sb.WriteString(": FAIL\n")
 	}
 	return sb.String()
-}
-
-func parseScale(s string) (workload.Scale, error) {
-	switch s {
-	case "quick":
-		return workload.Quick, nil
-	case "full":
-		return workload.Full, nil
-	case "huge":
-		return workload.Huge, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (quick, full, huge)", s)
-	}
 }

@@ -46,6 +46,7 @@ import (
 	"droplet/internal/algo"
 	"droplet/internal/cache"
 	"droplet/internal/core"
+	"droplet/internal/exp"
 	"droplet/internal/graph"
 	"droplet/internal/mem"
 	"droplet/internal/sim"
@@ -362,16 +363,10 @@ func ParseReplacement(s string) (Replacement, error) { return cache.ParseReplace
 // ExperimentMachine.
 func PaperMachine() MachineConfig { return sim.DefaultConfig() }
 
-// ExperimentMachine returns the scaled machine the experiment harness
-// uses (8KB L1 / 64KB L2 / 256KB LLC), preserving the paper's
+// ExperimentMachine returns the full-scale machine of the experiment
+// harness (8KB L1 / 64KB L2 / 256KB LLC), preserving the paper's
 // footprint-to-capacity ratios against ~100K-vertex graphs.
-func ExperimentMachine() MachineConfig {
-	cfg := sim.DefaultConfig()
-	cfg.L1.SizeBytes = 8 << 10
-	cfg.L2.SizeBytes = 64 << 10
-	cfg.LLC.SizeBytes = 256 << 10
-	return cfg
-}
+func ExperimentMachine() MachineConfig { return exp.Machine(workload.Full) }
 
 // Observer receives per-epoch telemetry callbacks from the simulator
 // (see internal/telemetry for the epoch model and the conservation

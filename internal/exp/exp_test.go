@@ -301,6 +301,9 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if _, err := ExperimentByID("nope"); err == nil {
 		t.Error("bogus experiment id resolved")
+	} else if want := `exp: unknown experiment "nope" (valid: table1, table2,`; !strings.HasPrefix(err.Error(), want) ||
+		!strings.HasSuffix(err.Error(), ", overhead)") {
+		t.Errorf("unknown-id error %q does not list the valid ids", err)
 	}
 	// The cheap text-only experiments must run end-to-end.
 	s := NewSuite(workload.Quick)

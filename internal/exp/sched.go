@@ -206,8 +206,11 @@ func (s *Suite) execute(ctx context.Context, key string, req Request) (any, erro
 	return s.runSim(ctx, rv, req.Variant.Mutate, key, label)
 }
 
-// machineOf builds the simulated machine for a resolved request.
-func machineOf(rv simreq.Resolved) sim.Config {
+// MachineOf builds the simulated machine for a resolved request: the
+// scaled Table I machine with the request's cores, prefetcher and
+// replacement policies. Table cells (before their variant), HTTP
+// requests and dropletsim runs all start from this machine.
+func MachineOf(rv simreq.Resolved) sim.Config {
 	cfg := Machine(rv.Scale)
 	cfg.Cores = rv.Cores
 	cfg.Prefetcher = rv.Prefetcher
@@ -227,7 +230,7 @@ func (s *Suite) runSim(ctx context.Context, rv simreq.Resolved, mutate func(*sim
 	}
 	defer s.releaseTrace(entry)
 
-	cfg := machineOf(rv)
+	cfg := MachineOf(rv)
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -69,7 +69,7 @@ func (s *Suite) SimTelemetry(ctx context.Context, q simreq.Request, sink telemet
 		Variant:     rv.Variant,
 		EpochCycles: metaEpochCycles(rv.EpochCycles),
 	})
-	return sim.Simulate(ctx, tr, machineOf(rv), sim.Options{
+	return sim.Simulate(ctx, tr, MachineOf(rv), sim.Options{
 		Observer:    col,
 		EpochCycles: rv.EpochCycles,
 		Sampling:    rv.Sampling,

@@ -6,6 +6,7 @@ import (
 
 	"droplet/internal/core"
 	"droplet/internal/graph"
+	"droplet/internal/names"
 	"droplet/internal/prefetch"
 	"droplet/internal/sim"
 	"droplet/internal/workload"
@@ -167,12 +168,17 @@ func wrap[T formatter](run func(*Suite) (T, error)) func(*Suite) (string, error)
 	}
 }
 
-// ExperimentByID finds a registered experiment.
+// ExperimentByID finds a registered experiment; an unknown id is an
+// error that lists every valid one.
 func ExperimentByID(id string) (Experiment, error) {
 	for _, e := range Experiments {
 		if e.ID == id {
 			return e, nil
 		}
 	}
-	return Experiment{}, fmt.Errorf("exp: unknown experiment %q", id)
+	ids := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		ids[i] = e.ID
+	}
+	return Experiment{}, names.Unknown("exp", "experiment", id, ids)
 }

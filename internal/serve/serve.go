@@ -121,16 +121,6 @@ type errorBody struct {
 	Fields simreq.FieldErrors `json:"fields,omitempty"`
 }
 
-// resultBody is the JSON shape of a completed simulation. Request holds
-// the canonical request bytes verbatim, so a client can re-derive the
-// hash from the response alone.
-type resultBody struct {
-	Version int             `json:"version"`
-	Hash    string          `json:"hash"`
-	Request json.RawMessage `json:"request"`
-	Summary sim.Summary     `json:"summary"`
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -219,20 +209,10 @@ func (s *Server) cachedBody(hash string) ([]byte, bool) {
 // waiters of one flight race here, the first stored body wins and both
 // serve it, preserving byte identity.
 func (s *Server) storeResult(hash string, q simreq.Request, res *sim.Result) ([]byte, error) {
-	canon, err := q.Canonical()
+	b, err := simreq.EncodeResult(q, res.Summarize())
 	if err != nil {
 		return nil, err
 	}
-	b, err := json.Marshal(resultBody{
-		Version: simreq.Version,
-		Hash:    hash,
-		Request: canon,
-		Summary: res.Summarize(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev, ok := s.results[hash]; ok {

@@ -259,6 +259,37 @@ func (r Request) Hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// resultBody is the JSON shape of a completed simulation. Request holds
+// the canonical request bytes verbatim, so a client can re-derive the
+// hash from the body alone.
+type resultBody struct {
+	Version int             `json:"version"`
+	Hash    string          `json:"hash"`
+	Request json.RawMessage `json:"request"`
+	Summary sim.Summary     `json:"summary"`
+}
+
+// EncodeResult returns the result body of request r — the exact bytes
+// POST /v1/simulate serves and `dropletsim -json` prints: one JSON
+// object {"version","hash","request","summary"} and a trailing newline.
+func EncodeResult(r Request, sum sim.Summary) ([]byte, error) {
+	canon, err := r.Canonical()
+	if err != nil {
+		return nil, err
+	}
+	hash := sha256.Sum256(canon)
+	b, err := json.Marshal(resultBody{
+		Version: Version,
+		Hash:    hex.EncodeToString(hash[:]),
+		Request: canon,
+		Summary: sum,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
 // Decode reads one JSON request from rd strictly — unknown fields are
 // rejected, not ignored, so a misspelled field never silently falls
 // back to its default — and returns the normalized form. Syntax errors
